@@ -30,8 +30,9 @@ RACE_PKGS = ./internal/telemetry/ ./internal/omp/ ./internal/obs/ ./internal/ker
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# Full pre-merge gate: formatting, vet, the whole suite, the
-# differential stress harness, the bench-regression gate (which also
+# Full pre-merge gate: formatting, vet, the whole suite, one pass of
+# the engine benchmarks (`go test ./...` compiles benchmark bodies but
+# never runs them), the differential stress harness, the bench-regression gate (which also
 # smoke-runs the overhead suite), a short fuzz pass over every fuzz
 # target, and the race detector over the concurrent packages.
 check:
@@ -39,6 +40,7 @@ check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
+	$(GO) test -run '^$$' -bench 'Engines|SIMDAndWarp|Fig9' -benchtime 1x .
 	$(GO) test -race $(RACE_PKGS)
 	$(MAKE) stress
 	$(MAKE) loadtest

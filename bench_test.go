@@ -287,8 +287,8 @@ func TestParallelForTelemetryOffNoPerIterAlloc(t *testing.T) {
 // ns/op is pure control cost): the per-iteration driver (recover once
 // per chunk, then per-iteration incrementation), the range-batched
 // engine (bounds re-evaluated only on outer carries, innermost level a
-// flat counted loop), and recover-every (full closed-form recovery at
-// each iteration). One benchmark op is one full traversal of the
+// flat counted loop), and recover-every (core.ForRangeEvery: full closed-form
+// recovery at each iteration). One benchmark op is one full traversal of the
 // collapsed space; run with -benchmem to see that the steady state
 // allocates only the constant per-call setup.
 func BenchmarkEngines(b *testing.B) {
@@ -335,9 +335,13 @@ func BenchmarkEngines(b *testing.B) {
 		b.Run(c.name+"/recover-every", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := omp.CollapsedForEvery(res, c.params, 1, sched, func(tid int, idx []int64) {
-					sink += idx[0]
-				}); err != nil {
+				bd, err := res.Unranker.Bind(c.params)
+				if err == nil {
+					err = core.ForRangeEvery(bd, 1, bd.Total(), func(pc int64, idx []int64) {
+						sink += idx[0]
+					})
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

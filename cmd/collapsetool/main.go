@@ -470,7 +470,7 @@ func runStats(res *core.Result, prog *cparse.Program, o options,
 	if sched.Kind == omp.ScheduleAuto {
 		return runTunedStats(ctx, res, params, o, tel)
 	}
-	cs, err := omp.CollapsedForTelemetryCtx(ctx, res, params, o.threads, sched,
+	cs, err := omp.CollapsedForCtx(ctx, res, params, o.threads, sched,
 		tel, func(tid int, idx []int64) {})
 	if err != nil {
 		return classifyDeadline(err, o.deadline)

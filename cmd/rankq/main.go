@@ -277,10 +277,8 @@ func runCollapsed(n *nest.Nest, params paramFlags, deadline time.Duration, threa
 	if sched.Kind == omp.ScheduleAuto {
 		return runTuned(ctx, res, params, deadline, threads)
 	}
-	perThread := make([]int64, threads)
 	start := time.Now()
-	err = omp.CollapsedForCtx(ctx, res, params, threads, sched,
-		func(tid int, idx []int64) { perThread[tid]++ })
+	cs, err := omp.CollapsedForCtx(ctx, res, params, threads, sched, nil, func(int, []int64) {})
 	elapsed := time.Since(start)
 	if err != nil {
 		if errors.Is(err, faults.ErrCanceled) {
@@ -289,11 +287,7 @@ func runCollapsed(n *nest.Nest, params paramFlags, deadline time.Duration, threa
 		}
 		return err
 	}
-	var total int64
-	for _, c := range perThread {
-		total += c
-	}
-	fmt.Printf("ran %d iterations on %d threads in %s\n", total, threads, elapsed.Round(time.Microsecond))
+	fmt.Printf("ran %d iterations on %d threads in %s\n", cs.Total, threads, elapsed.Round(time.Microsecond))
 	return nil
 }
 

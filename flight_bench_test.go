@@ -31,7 +31,7 @@ var flightSink int64
 func flightTraversal(tb testing.TB, res *Result, params map[string]int64,
 	sched omp.Schedule, tel *telemetry.Registry) {
 	tb.Helper()
-	if _, err := omp.CollapsedForTelemetry(res, params, 1, sched, tel,
+	if _, err := omp.CollapsedForCtx(nil, res, params, 1, sched, tel,
 		func(tid int, idx []int64) { flightSink += idx[0] }); err != nil {
 		tb.Fatal(err)
 	}

@@ -456,11 +456,11 @@ func (t *Tuner) CollapsedFor(ctx context.Context, res *core.Result, params map[s
 	}
 	d := plan.Decision
 	start := time.Now()
-	// Chunk-granularity instrumentation: recovery histogram, live gauges
-	// and counters still feed the cost model, but the body loop runs at
-	// CollapsedFor speed so the measured makespan is not skewed by
-	// per-iteration clock reads.
-	cs, err := omp.CollapsedForChunkTelemetryCtx(ctx, res, params, d.Workers, d.Schedule, t.opts.Registry, body)
+	// The chunk driver's instrumentation (recovery histogram, live
+	// gauges, counters) feeds the cost model at chunk granularity, so
+	// the body loop runs at CollapsedFor speed and the measured makespan
+	// is not skewed.
+	cs, err := omp.CollapsedForCtx(ctx, res, params, d.Workers, d.Schedule, t.opts.Registry, body)
 	actual := time.Since(start)
 	if err != nil {
 		return Run{Plan: plan, Cached: cached, Actual: actual}, err

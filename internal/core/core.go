@@ -222,16 +222,31 @@ func ForRanges(b *unrank.Bound, pcLo, pcHi int64, st *RangeStats,
 	if pcLo > pcHi {
 		return nil
 	}
-	inst := b.Instance()
-	last := inst.Depth() - 1
 	idx := b.Scratch()
 	if err := b.Unrank(pcLo, idx); err != nil {
 		return err
 	}
+	return ForRangesFrom(b, pcLo, pcHi, idx, st, body)
+}
+
+// ForRangesFrom is ForRanges with the recovery already paid: start must
+// be the exact iteration tuple of rank pcLo (see ForRangeFrom).
+func ForRangesFrom(b *unrank.Bound, pcLo, pcHi int64, start []int64, st *RangeStats,
+	body func(pc int64, prefix []int64, lo, hi int64)) error {
+	if pcLo > pcHi {
+		return nil
+	}
+	inst := b.Instance()
+	last := inst.Depth() - 1
+	idx := b.Scratch()
+	if len(start) != len(idx) {
+		return fmt.Errorf("core: start tuple has length %d, want %d", len(start), len(idx))
+	}
+	copy(idx, start)
 	pc := pcLo
 	for {
-		// Unrank (and NextRun below) leave idx on a valid tuple, so the
-		// current run is never empty: lo < hi and pc always advances.
+		// start (and NextRun below) is a valid tuple, so the current run
+		// is never empty: lo < hi and pc always advances.
 		lo := idx[last]
 		hi := inst.UpperAt(last, idx)
 		if rem := pcHi - pc + 1; hi-lo > rem {
@@ -271,69 +286,32 @@ func ForRange(b *unrank.Bound, pcLo, pcHi int64, body func(pc int64, idx []int64
 	if pcLo > pcHi {
 		return nil
 	}
-	inst := b.Instance()
-	last := inst.Depth() - 1
 	idx := b.Scratch()
 	if err := b.Unrank(pcLo, idx); err != nil {
 		return err
 	}
-	pc := pcLo
-	for {
-		hi := inst.UpperAt(last, idx)
-		if rem := pcHi - pc + 1; hi-idx[last] > rem {
-			hi = idx[last] + rem
-		}
-		for i := idx[last]; i < hi; i++ {
-			idx[last] = i
-			body(pc, idx)
-			pc++
-		}
-		if pc > pcHi {
-			return nil
-		}
-		if !inst.NextRun(idx) {
-			return fmt.Errorf("core: iteration space exhausted at pc=%d before reaching %d: %w",
-				pc-1, pcHi, faults.ErrRecoveryDiverged)
-		}
-	}
+	return ForRangeFrom(b, pcLo, pcHi, idx, body)
 }
 
 // ForRangeFrom is ForRange with the recovery already paid: start must be
 // the exact iteration tuple of rank pcLo — typically produced by
 // unrank.Bound.RecoverBatch over the chunk/shard starts of a planned
 // execution — and the driver goes straight to the §V incrementation.
-// start is read, never written.
+// start is copied into b's scratch (it may be that scratch itself) and
+// never written otherwise.
 func ForRangeFrom(b *unrank.Bound, pcLo, pcHi int64, start []int64,
 	body func(pc int64, idx []int64)) error {
-	if pcLo > pcHi {
-		return nil
-	}
-	inst := b.Instance()
-	last := inst.Depth() - 1
-	idx := b.Scratch()
-	if len(start) != len(idx) {
-		return fmt.Errorf("core: start tuple has length %d, want %d", len(start), len(idx))
-	}
-	copy(idx, start)
-	pc := pcLo
-	for {
-		hi := inst.UpperAt(last, idx)
-		if rem := pcHi - pc + 1; hi-idx[last] > rem {
-			hi = idx[last] + rem
-		}
-		for i := idx[last]; i < hi; i++ {
+	last := len(start) - 1
+	return ForRangesFrom(b, pcLo, pcHi, start, nil, func(pc int64, prefix []int64, lo, hi int64) {
+		// prefix is the head of b's scratch tuple, so extending it by one
+		// level gives the full tuple; NextRun ignores the innermost value
+		// this loop leaves behind.
+		idx := prefix[:last+1]
+		for i := lo; i < hi; i++ {
 			idx[last] = i
-			body(pc, idx)
-			pc++
+			body(pc+i-lo, idx)
 		}
-		if pc > pcHi {
-			return nil
-		}
-		if !inst.NextRun(idx) {
-			return fmt.Errorf("core: iteration space exhausted at pc=%d before reaching %d: %w",
-				pc-1, pcHi, faults.ErrRecoveryDiverged)
-		}
-	}
+	})
 }
 
 // ForRangeEvery executes body for every pc in [pcLo, pcHi], performing

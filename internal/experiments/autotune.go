@@ -203,9 +203,9 @@ func Autotune(opts AutotuneOptions) (*AutotuneReport, error) {
 		row := AutotuneRow{Kernel: name, Params: p, Iterations: b.Total()}
 		body := func(tid int, idx []int64) { inst.RunCollapsed(idx) }
 
-		// Hand-picked panel, through the same chunk-instrumented driver
-		// the tuned path uses (nil registry: no publication), so the only
-		// variable between panel and auto is the scheduling decision.
+		// Hand-picked panel, through the same chunk driver the tuned path
+		// uses. Its nil registry also skips the per-chunk timing the
+		// tuner's registry pays, so the panel is the uninstrumented floor.
 		for _, spec := range opts.Schedules {
 			sched, err := parseSchedSpec(spec)
 			if err != nil {
@@ -215,7 +215,7 @@ func Autotune(opts AutotuneOptions) (*AutotuneReport, error) {
 			for r := 0; r < opts.Reps; r++ {
 				inst.Reset()
 				start := time.Now()
-				if _, err := omp.CollapsedForChunkTelemetryCtx(ctx, res, nestParams, opts.Threads, sched, nil, body); err != nil {
+				if _, err := omp.CollapsedForCtx(ctx, res, nestParams, opts.Threads, sched, nil, body); err != nil {
 					return nil, fmt.Errorf("%s %s: %w", name, spec, err)
 				}
 				if s := time.Since(start).Seconds(); best < 0 || s < best {

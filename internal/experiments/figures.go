@@ -179,12 +179,29 @@ func fig9Kernel(k *kernels.Kernel, opts Fig9Options) (Fig9Row, error) {
 	}
 	nestParams := k.NestParams(p)
 
-	// 1. Serial reference and per-work-unit cost. Short-running kernels
-	// are repeated until ~25 ms accumulate (the per-run value is the
-	// average), and everything is best-of-3, to tame shared-machine
-	// noise. Repetition runs without Reset — every kernel's body is
+	// 1. Serial reference and per-work-unit cost, timed together with
+	// the serial §V run of step 3 (see there). Short-running kernels are
+	// repeated until ~25 ms accumulate (the per-run value is the
+	// average), the two runs alternate so that both see the same machine
+	// load, and each is best-of-5, to tame shared-machine noise.
+	// Repetition runs without Reset — every kernel's body is
 	// timing-idempotent (same operation count on every run).
-	serial := measureRepeated(func() { kernels.RunSeq(inst) }, inst)
+	P := opts.Threads
+	b, err := res.Unranker.Bind(nestParams)
+	if err != nil {
+		return row, err
+	}
+	total := b.Total()
+	var collErr error
+	times := measureRepeated(inst, func() { kernels.RunSeq(inst) }, func() {
+		if err := kernels.RunCollapsedSerialChunks(k, inst, res, p, P); err != nil && collErr == nil {
+			collErr = err
+		}
+	})
+	if collErr != nil {
+		return row, collErr
+	}
+	serial, collapsedSerial := times[0], times[1]
 	row.SerialSec = serial
 	lo, hi := inst.OuterRange()
 	outerWork := make([]float64, hi-lo)
@@ -207,7 +224,6 @@ func fig9Kernel(k *kernels.Kernel, opts Fig9Options) (Fig9Row, error) {
 		k.Name, serial, perUnit*1e9, cal.Dequeue*1e9, cal.Recovery*1e9, cal.Increment*1e9)
 
 	// 3. Simulated makespans for the three Fig. 9 configurations.
-	P := opts.Threads
 	row.StaticSec = schedsim.Static(outerWork, P, 0)
 	row.DynamicSec = schedsim.Dynamic(outerWork, P, 1, cal.Dequeue)
 
@@ -217,20 +233,6 @@ func fig9Kernel(k *kernels.Kernel, opts Fig9Options) (Fig9Row, error) {
 	// paper uses for its Fig. 10 overhead protocol. The simulated
 	// makespan then distributes that measured work over P threads, with
 	// one recovery per thread chunk.
-	b, err := res.Unranker.Bind(nestParams)
-	if err != nil {
-		return row, err
-	}
-	total := b.Total()
-	var collErr error
-	collapsedSerial := measureRepeated(func() {
-		if err := kernels.RunCollapsedSerialChunks(k, inst, res, p, P); err != nil && collErr == nil {
-			collErr = err
-		}
-	}, inst)
-	if collErr != nil {
-		return row, collErr
-	}
 	bodyTime := collapsedSerial - float64(P)*cal.Recovery
 	if bodyTime < 0 {
 		bodyTime = collapsedSerial
@@ -278,27 +280,34 @@ func fig9Kernel(k *kernels.Kernel, opts Fig9Options) (Fig9Row, error) {
 	return row, nil
 }
 
-// measureRepeated times f (after one Reset), repeating short runs until
-// about 25 ms accumulate, and returns the best-of-3 per-run seconds.
-func measureRepeated(f func(), inst kernels.Instance) float64 {
+// measureRepeated times each of fs (after one Reset of inst), repeating
+// short runs until about 25 ms accumulate, and returns the best-of-5
+// per-run seconds of each. The attempts alternate between the fs, so
+// runs that are compared with each other see the same machine load.
+func measureRepeated(inst kernels.Instance, fs ...func()) []float64 {
 	inst.Reset()
-	best := -1.0
-	reps := 1
-	for attempt := 0; attempt < 3; attempt++ {
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			f()
-		}
-		sec := time.Since(start).Seconds() / float64(reps)
-		if best < 0 || sec < best {
-			best = sec
-		}
-		if tot := sec * float64(reps); tot < 0.025 {
-			grow := int(0.025/tot) + 1
-			if grow > 32 {
-				grow = 32
+	best := make([]float64, len(fs))
+	reps := make([]int, len(fs))
+	for i := range fs {
+		best[i], reps[i] = -1, 1
+	}
+	for attempt := 0; attempt < 5; attempt++ {
+		for i, f := range fs {
+			start := time.Now()
+			for r := 0; r < reps[i]; r++ {
+				f()
 			}
-			reps *= grow
+			sec := time.Since(start).Seconds() / float64(reps[i])
+			if best[i] < 0 || sec < best[i] {
+				best[i] = sec
+			}
+			if tot := sec * float64(reps[i]); tot < 0.025 {
+				grow := int(0.025/tot) + 1
+				if grow > 32 {
+					grow = 32
+				}
+				reps[i] *= grow
+			}
 		}
 	}
 	return best

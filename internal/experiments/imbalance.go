@@ -68,7 +68,7 @@ func scheduleLabel(s omp.Schedule) string {
 
 // Imbalance runs the collapsed form of the kernel under each schedule
 // kind and reports the per-thread work distribution: iteration counts,
-// busy times, recovery-vs-increment split, and the balance statistics
+// busy and recovery times, and the balance statistics
 // (max/mean, coefficient of variation).
 func Imbalance(opts ImbalanceOptions) ([]ImbalanceRow, error) {
 	if opts.Threads <= 0 {
@@ -105,12 +105,19 @@ func Imbalance(opts ImbalanceOptions) ([]ImbalanceRow, error) {
 		reset = inst.Reset
 		body = func(tid int, idx []int64) { inst.RunCollapsed(idx) }
 	}
+	tel := opts.Telemetry
+	if tel == nil {
+		// Busy and recovery times come from the driver's chunk timing,
+		// which runs only with a registry: a private flight-only one
+		// keeps no timeline.
+		tel = telemetry.New()
+		tel.EnableFlight(1, false)
+	}
 	var rows []ImbalanceRow
 	for _, sched := range imbalanceSchedules() {
 		reset()
 		start := time.Now()
-		cs, err := omp.CollapsedForTelemetry(res, params, opts.Threads, sched,
-			opts.Telemetry, body)
+		cs, err := omp.CollapsedForCtx(nil, res, params, opts.Threads, sched, tel, body)
 		if err != nil {
 			return nil, fmt.Errorf("schedule %s: %w", scheduleLabel(sched), err)
 		}

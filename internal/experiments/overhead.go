@@ -276,7 +276,7 @@ func overheadKernel(k *kernels.Kernel, opts OverheadOptions) (OverheadRow, error
 
 		var rs core.RangeStats
 		sec = bestOfReps(opts, func() {
-			st, err := omp.CollapsedForRangesStats(res, nestParams, opts.Threads, sched, nil, rangeBody)
+			st, err := omp.CollapsedForRanges(nil, res, nestParams, opts.Threads, sched, nil, rangeBody)
 			if err != nil && runErr == nil {
 				runErr = err
 			}
@@ -287,7 +287,7 @@ func overheadKernel(k *kernels.Kernel, opts OverheadOptions) (OverheadRow, error
 		}
 		os.Ranges.NsPerIter = perIterNs(sec)
 		os.Ranges.AllocsPerIter = testing.AllocsPerRun(1, func() {
-			_, _ = omp.CollapsedForRangesStats(res, nestParams, opts.Threads, sched, nil, rangeBody)
+			_, _ = omp.CollapsedForRanges(nil, res, nestParams, opts.Threads, sched, nil, rangeBody)
 		}) / float64(total)
 		os.Batches, os.Carries = rs.Batches, rs.Carries
 		if rs.Batches > 0 {

@@ -20,7 +20,6 @@ package kernels
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/nest"
@@ -150,9 +149,9 @@ func RunOuterParallel(inst Instance, threads int, sched omp.Schedule) {
 
 // RunCollapsedParallel executes the collapsed loops under the given
 // schedule with the §V once-per-chunk recovery scheme. Instances
-// implementing RangeRunner get the generated-code-style fused loop
-// (recover once per chunk, then inline body+increment); others run
-// through the generic driver.
+// implementing RangeRunner get the generated-code-style fused loop on
+// the omp chunk driver (recover once per chunk, then inline
+// body+increment); others run through the per-iteration executor.
 func RunCollapsedParallel(k *Kernel, inst Instance, res *core.Result, p map[string]int64,
 	threads int, sched omp.Schedule) error {
 	rr, ok := inst.(RangeRunner)
@@ -161,38 +160,12 @@ func RunCollapsedParallel(k *Kernel, inst Instance, res *core.Result, p map[stri
 			inst.RunCollapsed(idx)
 		})
 	}
-	if threads < 1 {
-		threads = 1
-	}
-	b0, err := res.Unranker.Bind(k.NestParams(p))
-	if err != nil {
-		return err
-	}
-	bounds := make([]*unrank.Bound, threads)
-	bounds[0] = b0
-	for t := 1; t < threads; t++ {
-		bounds[t] = b0.Clone()
-	}
-	total := b0.Total()
-	if total == 0 {
-		return nil
-	}
-	var firstErr error
-	var mu sync.Mutex
-	omp.ParallelForChunks(threads, 1, total+1, sched, func(tid int, clo, chi int64) {
-		b := bounds[tid]
-		idx := b.Scratch()
-		if err := b.Unrank(clo, idx); err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
-		}
-		rr.RunCollapsedRange(idx, chi-clo)
-	})
-	return firstErr
+	_, err := omp.CollapsedForChunks(nil, res, k.NestParams(p), threads, sched, nil,
+		func(tid int, b *unrank.Bound, clo, chi int64, start []int64) error {
+			rr.RunCollapsedRange(start, chi-clo)
+			return nil
+		})
+	return err
 }
 
 // RunCollapsedSerialChunks executes the collapsed loops serially in

@@ -79,7 +79,7 @@ func TestLiveScrapeDuringRun(t *testing.T) {
 		body := string(b)
 		midExposition.CompareAndSwap(nil, &body)
 	}
-	_, err = omp.CollapsedForTelemetry(res, map[string]int64{"N": 120}, 2,
+	_, err = omp.CollapsedForCtx(nil, res, map[string]int64{"N": 120}, 2,
 		omp.Schedule{Kind: omp.StaticChunk, Chunk: 16}, tel, func(tid int, idx []int64) {
 			if idx[0] > 60 && midExposition.Load() == nil && midErr.Load() == nil {
 				scrape()
@@ -253,7 +253,7 @@ func TestConcurrentScrape(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, err := omp.CollapsedForTelemetry(res, map[string]int64{"N": 200}, 4,
+		_, err := omp.CollapsedForCtx(nil, res, map[string]int64{"N": 200}, 4,
 			omp.Schedule{Kind: omp.StaticChunk, Chunk: 8}, tel, func(tid int, idx []int64) {})
 		if err != nil {
 			t.Error(err)

@@ -2,50 +2,14 @@ package omp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/telemetry"
 	"repro/internal/unrank"
 )
-
-// CollapsedFor executes the collapsed iteration space of r (pc =
-// 1..Total) in parallel. Within each schedule chunk the §V scheme is
-// used: the costly closed-form recovery runs once at the first iteration
-// of the chunk, and subsequent index tuples come from lexicographic
-// incrementation, mirroring the code of paper Figs. 4 and §V.
-//
-// Each worker owns a private unrank.Bound (the OpenMP codes privatize the
-// recovery state the same way). body must be safe for concurrent
-// invocation on distinct iterations; the idx slice is reused per worker.
-func CollapsedFor(r *core.Result, params map[string]int64, threads int, sched Schedule,
-	body func(tid int, idx []int64)) error {
-	return collapsedRun(nil, r, params, threads, sched, body, false)
-}
-
-// CollapsedForCtx is CollapsedFor with cooperative cancellation: ctx is
-// checked at every chunk boundary (never inside a chunk, so the §V
-// recovery/incrementation fast path is untouched), and a canceled
-// context stops the team with an error wrapping faults.ErrCanceled. A
-// panic in body is captured with its stack and returned as a
-// *faults.PanicError; the process survives and the team drains cleanly.
-func CollapsedForCtx(ctx context.Context, r *core.Result, params map[string]int64,
-	threads int, sched Schedule, body func(tid int, idx []int64)) error {
-	return collapsedRun(ctx, r, params, threads, sched, body, false)
-}
-
-// CollapsedForEvery is CollapsedFor with the recovery performed at every
-// iteration (no incrementation) — the maximum-cost mode the paper
-// associates with dynamic scheduling of collapsed loops (§V).
-func CollapsedForEvery(r *core.Result, params map[string]int64, threads int, sched Schedule,
-	body func(tid int, idx []int64)) error {
-	return collapsedRun(nil, r, params, threads, sched, body, true)
-}
 
 // pcEnd returns the exclusive upper bound total+1 of the collapsed pc
 // range [1, total], refusing totals whose +1 would wrap. Bind already
@@ -77,33 +41,98 @@ func bindTeam(r *core.Result, params map[string]int64, threads int) ([]*unrank.B
 	return bounds, nil
 }
 
-func collapsedRun(ctx context.Context, r *core.Result, params map[string]int64, threads int,
-	sched Schedule, body func(tid int, idx []int64), every bool) error {
-	if threads < 1 {
-		threads = 1
-	}
+// CollapsedForChunks is the collapsed chunk driver every chunked
+// executor is built on — the paper's §V scheme as one mechanism. It
+// binds r once for the team (each worker gets a private Clone, as the
+// OpenMP codes privatize the recovery state), plans the collapsed pcs
+// 1..Total into schedule chunks through ParallelForChunksCtx
+// (cancellation at chunk boundaries, panic capture, fault injection),
+// recovers the first tuple of each chunk once with b.Unrank, and calls
+// chunk(tid, b, clo, chi, start) for the chunk's pcs [clo, chi) with the
+// worker's bound and the recovered tuple of rank clo. start is b's
+// scratch: chunk may advance it in place and must not retain it. A
+// non-nil error from chunk stops the team.
+//
+// tel selects the instrumentation. With a nil registry the driver reads
+// no clock and allocates nothing per chunk; the returned stats still
+// hold every worker's chunk and iteration counts and unranker counters,
+// with zero Busy and Recovery. With a registry each chunk is timed into
+// Busy/Recovery and the "omp.recovery_seconds" (the autotuner's measured
+// cost input) and "omp.chunk_seconds" histograms, the live per-worker
+// gauges advance, a "chunk"-category trace event named after the
+// schedule kind is recorded, and the run ends by publishing
+// "omp.iterations" (the iterations of completed chunks, so a failed run
+// counts only what ran), "omp.panics_recovered" or "omp.cancellations".
+func CollapsedForChunks(ctx context.Context, r *core.Result, params map[string]int64,
+	threads int, sched Schedule, tel *telemetry.Registry,
+	chunk func(tid int, b *unrank.Bound, clo, chi int64, start []int64) error) (CollapsedStats, error) {
+	threads = max(threads, 1)
 	bounds, err := bindTeam(r, params, threads)
 	if err != nil {
-		return err
+		return CollapsedStats{}, err
 	}
-	total := bounds[0].Total()
-	if total == 0 {
-		return nil
+	cs := CollapsedStats{Threads: threads, Total: bounds[0].Total(), PerThread: make([]ThreadStats, threads)}
+	for t := range cs.PerThread {
+		cs.PerThread[t].TID = t
 	}
-	end, err := pcEnd(total)
+	if cs.Total == 0 {
+		return cs, nil
+	}
+	end, err := pcEnd(cs.Total)
 	if err != nil {
-		return err
+		return cs, err
 	}
-	return ParallelForChunksCtx(ctx, threads, 1, end, sched, func(tid int, clo, chi int64) error {
-		b := bounds[tid]
-		run := core.ForRange
-		if every {
-			run = core.ForRangeEvery
+	live := newLiveTeam(tel, threads, sched.Kind)
+	runErr := ParallelForChunksCtx(ctx, threads, 1, end, sched, func(tid int, clo, chi int64) error {
+		b, st := bounds[tid], &cs.PerThread[tid]
+		var err error
+		if live != nil {
+			err = live.chunk(tid, b, st, clo, chi, chunk)
+		} else if err = b.Unrank(clo, b.Scratch()); err == nil {
+			err = chunk(tid, b, clo, chi, b.Scratch())
 		}
-		return run(b, clo, chi-1, func(pc int64, idx []int64) {
-			body(tid, idx)
-		})
+		if err != nil {
+			return err
+		}
+		st.Chunks++
+		st.Iterations += chi - clo
+		return nil
 	})
+	for t, b := range bounds {
+		cs.PerThread[t].Unrank = b.Stats()
+		cs.Stats.Add(cs.PerThread[t].Unrank)
+	}
+	live.finish(cs, runErr)
+	return cs, runErr
+}
+
+// CollapsedFor executes the collapsed iteration space of r (pc =
+// 1..Total) in parallel. Within each schedule chunk the §V scheme is
+// used: the costly closed-form recovery runs once at the first iteration
+// of the chunk, and subsequent index tuples come from lexicographic
+// incrementation, mirroring the code of paper Figs. 4 and §V.
+//
+// body must be safe for concurrent invocation on distinct iterations;
+// the idx slice is reused per worker.
+func CollapsedFor(r *core.Result, params map[string]int64, threads int, sched Schedule,
+	body func(tid int, idx []int64)) error {
+	_, err := CollapsedForCtx(nil, r, params, threads, sched, nil, body)
+	return err
+}
+
+// CollapsedForCtx is CollapsedFor with cooperative cancellation, panic
+// capture and optional instrumentation, returning the run's per-thread
+// record. ctx (nil disables it) is checked at every chunk boundary,
+// never inside a chunk, and a canceled context stops the team with an
+// error wrapping faults.ErrCanceled. A panic in body comes back as a
+// *faults.PanicError; the process survives and the team drains cleanly.
+// tel is the CollapsedForChunks instrumentation (nil: none).
+func CollapsedForCtx(ctx context.Context, r *core.Result, params map[string]int64, threads int,
+	sched Schedule, tel *telemetry.Registry, body func(tid int, idx []int64)) (CollapsedStats, error) {
+	return CollapsedForChunks(ctx, r, params, threads, sched, tel,
+		func(tid int, b *unrank.Bound, clo, chi int64, start []int64) error {
+			return core.ForRangeFrom(b, clo, chi-1, start, func(_ int64, idx []int64) { body(tid, idx) })
+		})
 }
 
 // CollapsedForRanges executes the collapsed space with the range-batched
@@ -116,97 +145,38 @@ func collapsedRun(ctx context.Context, r *core.Result, params map[string]int64, 
 // plain counted `for i := lo; i < hi; i++`, with bounds re-evaluated
 // only on outer-level carries. Runs never cross chunk boundaries, so pc
 // accounting (and therefore scheduling) is exactly that of CollapsedFor.
-func CollapsedForRanges(r *core.Result, params map[string]int64, threads int, sched Schedule,
-	body func(tid int, pc int64, prefix []int64, lo, hi int64)) error {
-	_, err := collapsedRangesRun(nil, r, params, threads, sched, nil, body)
-	return err
-}
-
-// CollapsedForRangesCtx is CollapsedForRanges with cooperative
-// cancellation checked at chunk boundaries (never inside a run).
-func CollapsedForRangesCtx(ctx context.Context, r *core.Result, params map[string]int64,
-	threads int, sched Schedule, body func(tid int, pc int64, prefix []int64, lo, hi int64)) error {
-	_, err := collapsedRangesRun(ctx, r, params, threads, sched, nil, body)
-	return err
-}
-
-// CollapsedForRangesStats is CollapsedForRanges returning the engine's
-// aggregated counters (runs, carries, iterations) and publishing them on
-// tel (which may be nil): "omp.range_batches", "omp.range_carries" and
-// "omp.iterations". The counters make the engine's economy observable:
-// batches ≈ carries + threads·chunks, and iterations/batches is the mean
-// flat-run length the body enjoyed.
-func CollapsedForRangesStats(r *core.Result, params map[string]int64, threads int, sched Schedule,
-	tel *telemetry.Registry, body func(tid int, pc int64, prefix []int64, lo, hi int64)) (core.RangeStats, error) {
-	return collapsedRangesRun(nil, r, params, threads, sched, tel, body)
-}
-
-func collapsedRangesRun(ctx context.Context, r *core.Result, params map[string]int64, threads int,
+//
+// ctx and tel are those of CollapsedForCtx. The returned engine counters
+// (runs, carries, iterations) are also published on tel as
+// "omp.range_batches" and "omp.range_carries": batches ≈ carries +
+// chunks, and iterations/batches is the mean flat-run length the body
+// enjoyed.
+func CollapsedForRanges(ctx context.Context, r *core.Result, params map[string]int64, threads int,
 	sched Schedule, tel *telemetry.Registry,
 	body func(tid int, pc int64, prefix []int64, lo, hi int64)) (core.RangeStats, error) {
+	stats := make([]core.RangeStats, max(threads, 1))
+	_, err := CollapsedForChunks(ctx, r, params, threads, sched, tel,
+		func(tid int, b *unrank.Bound, clo, chi int64, start []int64) error {
+			return core.ForRangesFrom(b, clo, chi-1, start, &stats[tid],
+				func(pc int64, prefix []int64, lo, hi int64) { body(tid, pc, prefix, lo, hi) })
+		})
 	var agg core.RangeStats
-	if threads < 1 {
-		threads = 1
+	for _, s := range stats {
+		agg.Add(s)
 	}
-	bounds, err := bindTeam(r, params, threads)
-	if err != nil {
-		return agg, err
-	}
-	total := bounds[0].Total()
-	if total == 0 {
-		return agg, nil
-	}
-	end, err := pcEnd(total)
-	if err != nil {
-		return agg, err
-	}
-	stats := make([]core.RangeStats, threads)
-	live := newLiveTeam(tel, threads, sched.Kind)
-	tr := tel.Trace()
-	published := make([]unrank.Stats, threads)
-	runErr := ParallelForChunksCtx(ctx, threads, 1, end, sched, func(tid int, clo, chi int64) error {
-		if live == nil {
-			// Uninstrumented hot path: no clock reads, no stats copies.
-			return core.ForRanges(bounds[tid], clo, chi-1, &stats[tid],
-				func(pc int64, prefix []int64, lo, hi int64) {
-					body(tid, pc, prefix, lo, hi)
-				})
-		}
-		live.chunkStart(tid, tr.Now())
-		before := stats[tid].Iterations
-		err := core.ForRanges(bounds[tid], clo, chi-1, &stats[tid],
-			func(pc int64, prefix []int64, lo, hi int64) {
-				body(tid, pc, prefix, lo, hi)
-			})
-		s := bounds[tid].Stats()
-		live.chunkEnd(tid, stats[tid].Iterations-before, s.Sub(published[tid]))
-		published[tid] = s
-		return err
-	})
-	for t := range stats {
-		agg.Add(stats[t])
-	}
-	if tel != nil {
-		tel.Counter("omp.range_batches").Add(agg.Batches)
-		tel.Counter("omp.range_carries").Add(agg.Carries)
-		tel.Counter("omp.iterations").Add(agg.Iterations)
-	}
-	return agg, runErr
+	tel.Counter("omp.range_batches").Add(agg.Batches)
+	tel.Counter("omp.range_carries").Add(agg.Carries)
+	return agg, err
 }
 
-// ThreadStats is the per-thread runtime record of an instrumented
-// collapsed run: how many chunks and iterations the thread executed,
-// how long it was busy, how that time splits between the once-per-chunk
-// closed-form recovery and the per-iteration lexicographic
-// incrementation, and the thread's own unranker counters.
+// ThreadStats is the per-thread runtime record of a collapsed run: the
+// thread's load row — how many chunks and iterations it completed, how
+// long it was busy and how much of that went to the once-per-chunk
+// closed-form recovery (both zero unless the run was instrumented) —
+// and its own unranker counters.
 type ThreadStats struct {
-	TID        int
-	Chunks     int64
-	Iterations int64
-	Busy       time.Duration
-	Recovery   time.Duration
-	Increment  time.Duration
-	Unrank     unrank.Stats
+	telemetry.ThreadLoad
+	Unrank unrank.Stats
 }
 
 // CollapsedStats aggregates the runtime statistics of one collapsed
@@ -228,196 +198,9 @@ type CollapsedStats struct {
 func (cs CollapsedStats) ImbalanceReport() telemetry.ImbalanceReport {
 	loads := make([]telemetry.ThreadLoad, len(cs.PerThread))
 	for i, t := range cs.PerThread {
-		loads[i] = telemetry.ThreadLoad{
-			TID:        t.TID,
-			Chunks:     t.Chunks,
-			Iterations: t.Iterations,
-			Busy:       t.Busy,
-			Recovery:   t.Recovery,
-			Increment:  t.Increment,
-		}
+		loads[i] = t.ThreadLoad
 	}
 	return telemetry.NewImbalance(loads)
-}
-
-// RunCollapsedWithStats is CollapsedFor returning the per-thread runtime
-// breakdown and the recovery statistics aggregated across *all* workers'
-// unrankers.
-func RunCollapsedWithStats(r *core.Result, params map[string]int64, threads int, sched Schedule,
-	body func(tid int, idx []int64)) (CollapsedStats, error) {
-	return CollapsedForTelemetry(r, params, threads, sched, nil, body)
-}
-
-// CollapsedForTelemetry is the instrumented collapsed executor: it runs
-// the §V scheme like CollapsedFor while recording a per-thread chunk
-// timeline — chunk bounds, iteration count, recovery time vs increment
-// time — and aggregating each worker's unrank statistics. When tel is
-// non-nil, every chunk additionally becomes a "chunk"-category trace
-// event (named after the schedule kind) suitable for Chrome trace
-// export, and the team-wide counters are published on the registry.
-//
-// The per-iteration timing instrumentation costs two monotonic clock
-// reads per iteration; use CollapsedFor for uninstrumented runs.
-func CollapsedForTelemetry(r *core.Result, params map[string]int64, threads int, sched Schedule,
-	tel *telemetry.Registry, body func(tid int, idx []int64)) (CollapsedStats, error) {
-	return CollapsedForTelemetryCtx(nil, r, params, threads, sched, tel, body)
-}
-
-// CollapsedForTelemetryCtx is CollapsedForTelemetry with cooperative
-// cancellation at chunk boundaries. It additionally publishes the
-// robustness counters on tel: "omp.panics_recovered" (worker panics
-// captured as errors), "omp.cancellations" (runs stopped by ctx), and
-// "unrank.verifies"/"unrank.verify_escalations" (exact re-rank checks
-// and binary-search escalations of verified recovery).
-func CollapsedForTelemetryCtx(ctx context.Context, r *core.Result, params map[string]int64,
-	threads int, sched Schedule, tel *telemetry.Registry,
-	body func(tid int, idx []int64)) (CollapsedStats, error) {
-	return collapsedForInstrumented(ctx, r, params, threads, sched, tel, true, body)
-}
-
-// CollapsedForChunkTelemetryCtx is CollapsedForTelemetryCtx at chunk
-// granularity: chunk durations, recovery times, live gauges, trace
-// events and robustness counters are all still recorded, but the
-// per-iteration busy-vs-increment clock reads are skipped, so the body
-// loop runs at CollapsedFor speed (ThreadStats.Increment stays zero and
-// Busy includes incrementation). This is the executor behind the tuned
-// path, where instrumentation skew would corrupt the very measurements
-// the planner feeds on.
-func CollapsedForChunkTelemetryCtx(ctx context.Context, r *core.Result, params map[string]int64,
-	threads int, sched Schedule, tel *telemetry.Registry,
-	body func(tid int, idx []int64)) (CollapsedStats, error) {
-	return collapsedForInstrumented(ctx, r, params, threads, sched, tel, false, body)
-}
-
-// collapsedForInstrumented is the shared instrumented executor;
-// fineTiming selects per-iteration increment timing (two monotonic
-// clock reads per iteration) versus chunk-granularity timing only.
-func collapsedForInstrumented(ctx context.Context, r *core.Result, params map[string]int64,
-	threads int, sched Schedule, tel *telemetry.Registry, fineTiming bool,
-	body func(tid int, idx []int64)) (CollapsedStats, error) {
-	if threads < 1 {
-		threads = 1
-	}
-	bounds, err := bindTeam(r, params, threads)
-	if err != nil {
-		return CollapsedStats{}, err
-	}
-	total := bounds[0].Total()
-	cs := CollapsedStats{Threads: threads, Total: total, PerThread: make([]ThreadStats, threads)}
-	for t := range cs.PerThread {
-		cs.PerThread[t].TID = t
-	}
-	if total == 0 {
-		return cs, nil
-	}
-	end, err := pcEnd(total)
-	if err != nil {
-		return cs, err
-	}
-	tr := tel.Trace()
-	hist := tel.Histogram("omp.chunk_seconds", nil)
-	recHist := tel.Histogram("omp.recovery_seconds", nil)
-	live := newLiveTeam(tel, threads, sched.Kind)
-	published := make([]unrank.Stats, threads)
-	evName := sched.Kind.String()
-	runErr := ParallelForChunksCtx(ctx, threads, 1, end, sched, func(tid int, clo, chi int64) error {
-		st := &cs.PerThread[tid]
-		b := bounds[tid]
-		idx := b.Scratch()
-		var startOff time.Duration
-		if tr != nil {
-			startOff = tr.Now()
-		}
-		live.chunkStart(tid, startOff)
-		t0 := time.Now()
-		if err := b.Unrank(clo, idx); err != nil {
-			return err
-		}
-		recovery := time.Since(t0)
-		// The per-chunk recovery histogram is the autotuner's measured
-		// cost input: its p50 replaces the calibrated constant when the
-		// planner charges the §V recovery per simulated chunk.
-		recHist.Observe(recovery.Seconds())
-		var incDur time.Duration
-		var done int64
-		var chunkErr error
-		if fineTiming {
-			for pc := clo; pc < chi; pc++ {
-				body(tid, idx)
-				done++
-				if pc+1 >= chi {
-					break
-				}
-				is := time.Now()
-				ok := b.Increment(idx)
-				incDur += time.Since(is)
-				if !ok {
-					chunkErr = fmt.Errorf("omp: iteration space exhausted at pc=%d before reaching %d: %w",
-						pc, chi-1, faults.ErrRecoveryDiverged)
-					break
-				}
-			}
-		} else {
-			// Chunk granularity: hand the already-recovered start tuple to
-			// the range-batched driver — flat innermost runs, bounds
-			// re-evaluated only on outer carries — so the body loop costs
-			// the same as an uninstrumented CollapsedForRanges chunk.
-			chunkErr = core.ForRangeFrom(b, clo, chi-1, idx, func(pc int64, ix []int64) {
-				body(tid, ix)
-				done++
-			})
-		}
-		busy := time.Since(t0)
-		st.Chunks++
-		st.Iterations += done
-		st.Busy += busy
-		st.Recovery += recovery
-		st.Increment += incDur
-		hist.Observe(busy.Seconds())
-		if live != nil {
-			// Live progress: advance the per-worker gauges and publish the
-			// recovery-counter deltas of this chunk, so a mid-run scrape
-			// sees escalations and imbalance as they happen.
-			s := b.Stats()
-			live.chunkEnd(tid, done, s.Sub(published[tid]))
-			published[tid] = s
-		}
-		if tr != nil {
-			tr.Add(telemetry.Event{
-				Name: evName, Cat: "chunk", TID: tid, Start: startOff, Dur: busy,
-				Args: []telemetry.Arg{
-					{Name: "pc_lo", Value: clo},
-					{Name: "pc_hi", Value: chi},
-					{Name: "iters", Value: done},
-					{Name: "recovery_ns", Value: recovery.Nanoseconds()},
-					{Name: "increment_ns", Value: incDur.Nanoseconds()},
-				},
-			})
-		}
-		return chunkErr
-	})
-	// The per-chunk path published counter deltas live; here only the
-	// remainder accrued outside chunk boundaries (e.g. during Bind) is
-	// added, so the registry totals match cs.Stats exactly without
-	// double counting.
-	var remainder unrank.Stats
-	for t, b := range bounds {
-		s := b.Stats()
-		cs.PerThread[t].Unrank = s
-		cs.Stats.Add(s)
-		remainder.Add(s.Sub(published[t]))
-	}
-	live.publishRemainder(remainder)
-	if runErr != nil {
-		switch {
-		case faults.AsPanic(runErr) != nil:
-			tel.Counter("omp.panics_recovered").Inc()
-		case errors.Is(runErr, faults.ErrCanceled):
-			tel.Counter("omp.cancellations").Inc()
-		}
-	}
-	tel.Counter("omp.iterations").Add(total)
-	return cs, runErr
 }
 
 // CollapsedForSIMD executes the collapsed space with the §VI.A
@@ -430,28 +213,10 @@ func collapsedForInstrumented(ctx context.Context, r *core.Result, params map[st
 // in one call, which body consumes as the "#pragma omp simd" loop.
 func CollapsedForSIMD(r *core.Result, params map[string]int64, threads, vlength int,
 	body func(tid int, batch [][]int64)) error {
-	if vlength < 1 {
-		vlength = 1
-	}
-	if threads < 1 {
-		threads = 1
-	}
-	bounds, err := bindTeam(r, params, threads)
-	if err != nil {
-		return err
-	}
-	total := bounds[0].Total()
-	if total == 0 {
-		return nil
-	}
-	end, err := pcEnd(total)
-	if err != nil {
-		return err
-	}
+	vlength = max(vlength, 1)
 	depth := r.C
-	return ParallelForChunksCtx(nil, threads, 1, end, Schedule{Kind: Static},
-		func(tid int, clo, chi int64) error {
-			b := bounds[tid]
+	_, err := CollapsedForChunks(nil, r, params, threads, Schedule{Kind: Static}, nil,
+		func(tid int, b *unrank.Bound, clo, chi int64, cur []int64) error {
 			// Pre-allocate the thread-private tuple array T[vlength].
 			backing := make([]int64, vlength*depth)
 			batch := make([][]int64, vlength)
@@ -459,16 +224,11 @@ func CollapsedForSIMD(r *core.Result, params map[string]int64, threads, vlength 
 				batch[v] = backing[v*depth : (v+1)*depth]
 			}
 			pcs := make([]int64, vlength)
-			cur := make([]int64, depth)
-			if err := b.Unrank(clo, cur); err != nil {
-				return err
-			}
 			curPC := clo
 			for pc := clo; pc < chi; {
-				nb := 0
-				for v := 0; v < vlength && pc+int64(v) < chi; v++ {
+				nb := int(min(int64(vlength), chi-pc))
+				for v := range nb {
 					pcs[v] = pc + int64(v)
-					nb++
 				}
 				if err := b.RecoverBatchSeeded(curPC, cur, pcs[:nb], batch[:nb]); err != nil {
 					return err
@@ -480,6 +240,7 @@ func CollapsedForSIMD(r *core.Result, params map[string]int64, threads, vlength 
 			}
 			return nil
 		})
+	return err
 }
 
 // CollapsedForWarp executes the collapsed space with the §VI.B GPU-warp
@@ -491,9 +252,7 @@ func CollapsedForSIMD(r *core.Result, params map[string]int64, threads, vlength 
 // achieving the coalesced-access distribution of the paper.
 func CollapsedForWarp(r *core.Result, params map[string]int64, W int,
 	body func(lane int, pc int64, idx []int64)) error {
-	if W < 1 {
-		W = 1
-	}
+	W = max(W, 1)
 	bounds, err := bindTeam(r, params, W)
 	if err != nil {
 		return err
@@ -508,10 +267,7 @@ func CollapsedForWarp(r *core.Result, params map[string]int64, W int,
 	// lanes spawn: consecutive ranks ride RecoverBatch's incrementation
 	// fast path, so the whole warp pays a single full recovery instead of
 	// one per lane.
-	nlanes := int64(W)
-	if total < nlanes {
-		nlanes = total
-	}
+	nlanes := min(int64(W), total)
 	startPCs := make([]int64, nlanes)
 	startBacking := make([]int64, int(nlanes)*r.C)
 	starts := make([][]int64, nlanes)
@@ -522,24 +278,14 @@ func CollapsedForWarp(r *core.Result, params map[string]int64, W int,
 	if err := bounds[0].RecoverBatch(startPCs, starts); err != nil {
 		return err
 	}
-	var wg sync.WaitGroup
-	var firstErr error
-	var errOnce sync.Once
-	for lane := 0; lane < W; lane++ {
-		wg.Add(1)
-		go func(lane int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					errOnce.Do(func() {
-						firstErr = fmt.Errorf("omp: warp lane %d: %w", lane, faults.Recovered(r))
-					})
-				}
-			}()
+	// One single-lane chunk per worker: the team runtime spawns the
+	// lanes and captures their panics.
+	return ParallelForChunksCtx(nil, W, 0, int64(W), Schedule{Kind: StaticChunk, Chunk: 1},
+		func(lane int, _, _ int64) error {
 			b := bounds[lane]
 			start := int64(lane) + 1
 			if start > total {
-				return
+				return nil
 			}
 			idx := make([]int64, r.C)
 			copy(idx, starts[lane])
@@ -551,8 +297,6 @@ func CollapsedForWarp(r *core.Result, params map[string]int64, W int,
 					}
 				}
 			}
-		}(lane)
-	}
-	wg.Wait()
-	return firstErr
+			return nil
+		})
 }

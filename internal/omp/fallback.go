@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/nest"
+	"repro/internal/poly"
 )
 
 // UncollapsedFor executes a nest the pre-collapse way: the outermost
@@ -35,8 +36,8 @@ func UncollapsedFor(ctx context.Context, n *nest.Nest, params map[string]int64,
 	order = append(order, n.Indices()...)
 	// Compile each level's bounds over [params..., i_0..i_{k-1}]: exact
 	// integer evaluation, no affinity requirement.
-	los := make([]*nestBound, depth)
-	his := make([]*nestBound, depth)
+	los := make([]*poly.Compiled, depth)
+	his := make([]*poly.Compiled, depth)
 	for k, l := range n.Loops {
 		lo, err := l.Lower.Compile(order[:np+k])
 		if err != nil {
@@ -46,7 +47,7 @@ func UncollapsedFor(ctx context.Context, n *nest.Nest, params map[string]int64,
 		if err != nil {
 			return fmt.Errorf("omp: fallback upper bound of %q: %w", l.Index, err)
 		}
-		los[k], his[k] = &nestBound{lo}, &nestBound{hi}
+		los[k], his[k] = lo, hi
 	}
 	pvals := make([]int64, np)
 	for i, p := range n.Params {
@@ -56,8 +57,8 @@ func UncollapsedFor(ctx context.Context, n *nest.Nest, params map[string]int64,
 		}
 		pvals[i] = v
 	}
-	lo0 := los[0].c.EvalExact(pvals)
-	hi0 := his[0].c.EvalExact(pvals)
+	lo0 := los[0].EvalExact(pvals)
+	hi0 := his[0].EvalExact(pvals)
 	return ParallelForChunksCtx(ctx, threads, lo0, hi0, sched, func(tid int, clo, chi int64) error {
 		vals := make([]int64, np+depth)
 		copy(vals, pvals)
@@ -68,8 +69,8 @@ func UncollapsedFor(ctx context.Context, n *nest.Nest, params map[string]int64,
 				body(tid, idx)
 				return
 			}
-			vhi := his[k].c.EvalExact(vals[:np+k])
-			for v := los[k].c.EvalExact(vals[:np+k]); v < vhi; v++ {
+			vhi := his[k].EvalExact(vals[:np+k])
+			for v := los[k].EvalExact(vals[:np+k]); v < vhi; v++ {
 				idx[k] = v
 				walk(k + 1)
 			}
@@ -80,10 +81,4 @@ func UncollapsedFor(ctx context.Context, n *nest.Nest, params map[string]int64,
 		}
 		return nil
 	})
-}
-
-// nestBound wraps a compiled polynomial bound (indirection keeps the
-// poly dependency local to this file).
-type nestBound struct {
-	c interface{ EvalExact([]int64) int64 }
 }

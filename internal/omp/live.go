@@ -1,9 +1,11 @@
 package omp
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/telemetry"
 	"repro/internal/unrank"
 )
@@ -18,19 +20,27 @@ import (
 // group into one family, and the schedule label makes an autotuned
 // run's chosen schedule visible on /metrics and /snapshot.
 //
-// All updates are atomic stores/adds on pre-fetched handles — no map
-// lookups, no allocations on the chunk path — and the whole layer is
-// skipped when telemetry is disabled (newLiveTeam returns nil, every
-// method is a nil-safe no-op).
+// liveTeam carries the whole chunk-granularity instrumentation of
+// CollapsedForChunks: the gauges, the chunk and recovery histograms and
+// the trace. Metric updates are atomic stores/adds on pre-fetched
+// handles (no map lookups on the chunk path), and the whole layer is
+// skipped when telemetry is disabled (newLiveTeam returns nil).
 type liveTeam struct {
-	teamSize *telemetry.Gauge
-	chunks   []*telemetry.Counter // chunks completed, per worker
-	iters    []*telemetry.Counter // iterations completed, per worker
+	tel    *telemetry.Registry
+	trace  *telemetry.Trace
+	evName string // chunk trace events are named after the schedule kind
+	chunkH *telemetry.Histogram
+	recH   *telemetry.Histogram
+	chunks []*telemetry.Counter // chunks completed, per worker
+	iters  []*telemetry.Counter // iterations completed, per worker
 	// inflight holds the monotonic trace offset (ns) at which the
 	// worker's current chunk started, 0 when idle: a scraper derives the
 	// in-flight chunk age as scrape_now_ns - inflight_since_ns.
 	inflight []*telemetry.Gauge
-	unrank   *unrankCounters
+	unrank   [len(unrankCounterNames)]*telemetry.Counter
+	// published is each worker's unranker stats as of its last chunk
+	// end, so every chunk publishes only its own delta.
+	published []unrank.Stats
 }
 
 // newLiveTeam pre-fetches the per-worker metric handles (nil when
@@ -42,11 +52,15 @@ func newLiveTeam(tel *telemetry.Registry, threads int, sched Kind) *liveTeam {
 		return nil
 	}
 	l := &liveTeam{
-		teamSize: tel.Gauge("omp.team_size"),
-		chunks:   make([]*telemetry.Counter, threads),
-		iters:    make([]*telemetry.Counter, threads),
-		inflight: make([]*telemetry.Gauge, threads),
-		unrank:   newUnrankCounters(tel),
+		tel:       tel,
+		trace:     tel.Trace(),
+		evName:    sched.String(),
+		chunkH:    tel.Histogram("omp.chunk_seconds", nil),
+		recH:      tel.Histogram("omp.recovery_seconds", nil),
+		chunks:    make([]*telemetry.Counter, threads),
+		iters:     make([]*telemetry.Counter, threads),
+		inflight:  make([]*telemetry.Gauge, threads),
+		published: make([]unrank.Stats, threads),
 	}
 	for t := 0; t < threads; t++ {
 		tid := fmt.Sprint(t)
@@ -54,87 +68,96 @@ func newLiveTeam(tel *telemetry.Registry, threads int, sched Kind) *liveTeam {
 		l.iters[t] = tel.Counter(fmt.Sprintf("omp.worker_iterations{tid=%q,sched=%q}", tid, sched))
 		l.inflight[t] = tel.Gauge(fmt.Sprintf("omp.worker_inflight_since_ns{tid=%q,sched=%q}", tid, sched))
 	}
-	l.teamSize.Set(int64(threads))
+	for i, name := range unrankCounterNames {
+		l.unrank[i] = tel.Counter(name)
+	}
+	tel.Gauge("omp.team_size").Set(int64(threads))
 	return l
 }
 
-// chunkStart marks the worker as in-flight since the given monotonic
-// trace offset.
-func (l *liveTeam) chunkStart(tid int, since time.Duration) {
-	if l == nil {
-		return
+// chunk is CollapsedForChunks' instrumented chunk step: it marks the
+// worker in flight, times the recovery of the chunk's start tuple and
+// the whole chunk into st and the histograms, then publishes the chunk
+// live — progress counters (completed chunks only), the worker's
+// unranker counter deltas, so a mid-run scrape sees escalations and
+// imbalance as they happen — and records its trace event.
+func (l *liveTeam) chunk(tid int, b *unrank.Bound, st *ThreadStats, clo, chi int64,
+	run func(tid int, b *unrank.Bound, clo, chi int64, start []int64) error) error {
+	startOff := l.trace.Now()
+	l.inflight[tid].Set(startOff.Nanoseconds())
+	t0 := time.Now()
+	err := b.Unrank(clo, b.Scratch())
+	recovery := time.Since(t0)
+	if err == nil {
+		err = run(tid, b, clo, chi, b.Scratch())
 	}
-	l.inflight[tid].Set(since.Nanoseconds())
-}
-
-// chunkEnd publishes the completed chunk: progress counters advance,
-// the in-flight marker clears, and the worker's unranker counter deltas
-// accumulated during the chunk land on the registry.
-func (l *liveTeam) chunkEnd(tid int, iters int64, delta unrank.Stats) {
-	if l == nil {
-		return
+	busy := time.Since(t0)
+	var done int64
+	if err == nil {
+		done = chi - clo
+		l.chunks[tid].Inc()
+		l.iters[tid].Add(done)
 	}
-	l.chunks[tid].Inc()
-	l.iters[tid].Add(iters)
+	st.Busy += busy
+	st.Recovery += recovery
+	l.recH.Observe(recovery.Seconds())
+	l.chunkH.Observe(busy.Seconds())
 	l.inflight[tid].Set(0)
-	l.unrank.publish(delta)
+	s := b.Stats()
+	l.publishUnrank(s.Sub(l.published[tid]))
+	l.published[tid] = s
+	l.trace.Add(telemetry.Event{
+		Name: l.evName, Cat: "chunk", TID: tid, Start: startOff, Dur: busy,
+		Args: []telemetry.Arg{
+			{Name: "pc_lo", Value: clo},
+			{Name: "pc_hi", Value: chi},
+			{Name: "iters", Value: done},
+			{Name: "recovery_ns", Value: recovery.Nanoseconds()},
+		},
+	})
+	return err
 }
 
-// publishRemainder adds the end-of-run remainder delta (stats accrued
-// outside chunk boundaries, e.g. during Bind) to the counters.
-func (l *liveTeam) publishRemainder(d unrank.Stats) {
+// finish publishes the end of a run: the unranker counters accrued
+// outside chunks (e.g. during Bind), so the registry totals match
+// cs.Stats exactly without double counting; the iterations the
+// completed chunks covered; and the failure class of err.
+func (l *liveTeam) finish(cs CollapsedStats, err error) {
 	if l == nil {
 		return
 	}
-	l.unrank.publish(d)
-}
-
-// unrankCounters holds pre-fetched handles for the recovery counters so
-// per-chunk publication costs only atomic adds.
-type unrankCounters struct {
-	rootEvals, corrections, fallbacks, searches *telemetry.Counter
-	verifies, escalations                       *telemetry.Counter
-	prec128, prec256, bigint                    *telemetry.Counter
-	tableLookups, tableCorrections, batches     *telemetry.Counter
-}
-
-func newUnrankCounters(tel *telemetry.Registry) *unrankCounters {
-	if tel == nil {
-		return nil
+	var rem unrank.Stats
+	var iters int64
+	for t, st := range cs.PerThread {
+		rem.Add(st.Unrank.Sub(l.published[t]))
+		iters += st.Iterations
 	}
-	return &unrankCounters{
-		rootEvals:   tel.Counter("unrank.root_evals"),
-		corrections: tel.Counter("unrank.corrections"),
-		fallbacks:   tel.Counter("unrank.fallbacks"),
-		searches:    tel.Counter("unrank.searches"),
-		verifies:    tel.Counter("unrank.verifies"),
-		escalations: tel.Counter("unrank.verify_escalations"),
-		prec128:     tel.Counter("unrank.escalations_prec128"),
-		prec256:     tel.Counter("unrank.escalations_prec256"),
-		bigint:      tel.Counter("unrank.bigint_paths"),
-
-		tableLookups:     tel.Counter("unrank.table_lookups"),
-		tableCorrections: tel.Counter("unrank.table_corrections"),
-		batches:          tel.Counter("unrank.batch_recoveries"),
+	l.publishUnrank(rem)
+	l.tel.Counter("omp.iterations").Add(iters)
+	switch {
+	case err == nil:
+	case faults.AsPanic(err) != nil:
+		l.tel.Counter("omp.panics_recovered").Inc()
+	case errors.Is(err, faults.ErrCanceled):
+		l.tel.Counter("omp.cancellations").Inc()
 	}
 }
 
-// publish adds a stats delta to the counters (no-op on nil receiver or
-// an all-zero delta).
-func (u *unrankCounters) publish(d unrank.Stats) {
-	if u == nil {
-		return
+// unrankCounterNames are the registry counters of the unranker's
+// recovery statistics, in publishUnrank order.
+var unrankCounterNames = [...]string{
+	"unrank.root_evals", "unrank.corrections", "unrank.fallbacks", "unrank.searches",
+	"unrank.verifies", "unrank.verify_escalations", "unrank.escalations_prec128",
+	"unrank.escalations_prec256", "unrank.bigint_paths", "unrank.table_lookups",
+	"unrank.table_corrections", "unrank.batch_recoveries",
+}
+
+// publishUnrank adds a stats delta to the recovery counters.
+func (l *liveTeam) publishUnrank(d unrank.Stats) {
+	for i, v := range [...]int64{d.RootEvals, d.Corrections, d.Fallbacks, d.Searches,
+		d.Verifies, d.Escalations, d.EscalationsPrec128,
+		d.EscalationsPrec256, d.BigIntPaths, d.TableLookups,
+		d.TableCorrections, d.BatchRecoveries} {
+		l.unrank[i].Add(v)
 	}
-	u.rootEvals.Add(d.RootEvals)
-	u.corrections.Add(d.Corrections)
-	u.fallbacks.Add(d.Fallbacks)
-	u.searches.Add(d.Searches)
-	u.verifies.Add(d.Verifies)
-	u.escalations.Add(d.Escalations)
-	u.prec128.Add(d.EscalationsPrec128)
-	u.prec256.Add(d.EscalationsPrec256)
-	u.bigint.Add(d.BigIntPaths)
-	u.tableLookups.Add(d.TableLookups)
-	u.tableCorrections.Add(d.TableCorrections)
-	u.batches.Add(d.BatchRecoveries)
 }

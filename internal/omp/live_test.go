@@ -1,11 +1,14 @@
 package omp
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/nest"
 	"repro/internal/telemetry"
 	"repro/internal/unrank"
@@ -31,7 +34,7 @@ func TestLiveProgressGauges(t *testing.T) {
 	tel := telemetry.New()
 	res := liveResult(t)
 	threads := 4
-	cs, err := CollapsedForTelemetry(res, map[string]int64{"N": 60}, threads,
+	cs, err := CollapsedForCtx(nil, res, map[string]int64{"N": 60}, threads,
 		Schedule{Kind: StaticChunk, Chunk: 37}, tel, func(tid int, idx []int64) {})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +81,7 @@ func TestLiveGaugesMidRun(t *testing.T) {
 	var midIters int64
 	threads := 2
 	sched := StaticChunk.String()
-	_, err := CollapsedForTelemetry(res, map[string]int64{"N": 120}, threads,
+	_, err := CollapsedForCtx(nil, res, map[string]int64{"N": 120}, threads,
 		Schedule{Kind: StaticChunk, Chunk: 16}, tel, func(tid int, idx []int64) {
 			if idx[0] > 60 && scraped.CompareAndSwap(false, true) {
 				snap := tel.Snapshot()
@@ -103,7 +106,7 @@ func TestLiveGaugesMidRun(t *testing.T) {
 func TestRangesLiveGauges(t *testing.T) {
 	tel := telemetry.New()
 	res := liveResult(t)
-	_, err := CollapsedForRangesStats(res, map[string]int64{"N": 50}, 3,
+	_, err := CollapsedForRanges(nil, res, map[string]int64{"N": 50}, 3,
 		Schedule{Kind: Static}, tel, func(tid int, pc int64, prefix []int64, lo, hi int64) {})
 	if err != nil {
 		t.Fatal(err)
@@ -117,5 +120,36 @@ func TestRangesLiveGauges(t *testing.T) {
 	want := snap.Counters["omp.iterations"]
 	if want == 0 || iters != want {
 		t.Errorf("per-worker live iterations %d, want omp.iterations %d (nonzero)", iters, want)
+	}
+}
+
+// TestIterationsCounterOnCanceledRun cancels an instrumented run midway:
+// "omp.iterations" must count the iterations that ran (the completed
+// chunks, the same figure as the per-thread records), not the total.
+func TestIterationsCounterOnCanceledRun(t *testing.T) {
+	tel := telemetry.New()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var n atomic.Int64
+	cs, err := CollapsedForCtx(ctx, liveResult(t), map[string]int64{"N": 200}, 2,
+		Schedule{Kind: Dynamic, Chunk: 16}, tel, func(int, []int64) {
+			if n.Add(1) == 2000 {
+				cancel()
+			}
+		})
+	if !errors.Is(err, faults.ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	var ran int64
+	for _, st := range cs.PerThread {
+		ran += st.Iterations
+	}
+	got := tel.Counter("omp.iterations").Value()
+	if got != ran || got == 0 || got >= cs.Total {
+		t.Errorf("omp.iterations = %d, want the %d completed-chunk iterations (0 < n < total %d)",
+			got, ran, cs.Total)
+	}
+	if c := tel.Counter("omp.cancellations").Value(); c != 1 {
+		t.Errorf("omp.cancellations = %d, want 1", c)
 	}
 }

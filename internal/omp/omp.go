@@ -307,7 +307,14 @@ func ParallelForChunks(threads int, lo, hi int64, sched Schedule, body func(tid 
 		return
 	}
 	if threads == 1 {
-		serialChunks(lo, hi, sched, body)
+		// The serial fast path runs the single-thread chunk plan on the
+		// caller, so chunk-boundary effects (e.g. per-chunk recovery
+		// cost) are preserved in serial measurements and the chunks are
+		// exactly those ParallelForChunksCtx emits at threads=1.
+		chunkPlan(1, lo, hi, sched)(0, func(clo, chi int64) bool {
+			body(0, clo, chi)
+			return true
+		})
 		return
 	}
 	err := ParallelForChunksCtx(nil, threads, lo, hi, sched,
@@ -320,27 +327,6 @@ func ParallelForChunks(threads int, lo, hi int64, sched Schedule, body func(tid 
 			panic(pe)
 		}
 		panic(err) // injected faults or range overflow: the void body returns no errors
-	}
-}
-
-// serialChunks reproduces each schedule's chunking on a single thread,
-// so chunk-boundary effects (e.g. per-chunk recovery cost) are preserved
-// in serial measurements.
-func serialChunks(lo, hi int64, sched Schedule, body func(tid int, clo, chi int64)) {
-	sched = sched.Resolved()
-	switch sched.Kind {
-	case Static:
-		body(0, lo, hi)
-	default:
-		ch := sched.chunk()
-		for clo := lo; clo < hi; {
-			chi := clo + ch
-			if chi > hi || chi < clo { // clo+ch overflow saturates at hi
-				chi = hi
-			}
-			body(0, clo, chi)
-			clo = chi
-		}
 	}
 }
 

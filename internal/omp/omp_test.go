@@ -1,6 +1,7 @@
 package omp
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -173,6 +174,9 @@ func TestCollapsedForExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestCollapsedForEveryMatches checks that recovering every iteration
+// (core.ForRangeEvery inside a CollapsedForChunks chunk) covers the
+// same tuples as the recover-once-per-chunk CollapsedFor.
 func TestCollapsedForEveryMatches(t *testing.T) {
 	r := correlationResult()
 	params := map[string]int64{"N": 25}
@@ -184,9 +188,12 @@ func TestCollapsedForEveryMatches(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := CollapsedForEvery(r, params, 4, Schedule{Kind: Dynamic, Chunk: 2}, func(tid int, idx []int64) {
-		atomic.AddInt32(&b[idx[0]*N+idx[1]], 1)
-	}); err != nil {
+	if _, err := CollapsedForChunks(nil, r, params, 4, Schedule{Kind: Dynamic, Chunk: 2}, nil,
+		func(tid int, bd *unrank.Bound, clo, chi int64, _ []int64) error {
+			return core.ForRangeEvery(bd, clo, chi-1, func(_ int64, idx []int64) {
+				atomic.AddInt32(&b[idx[0]*N+idx[1]], 1)
+			})
+		}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range a {
@@ -196,12 +203,15 @@ func TestCollapsedForEveryMatches(t *testing.T) {
 	}
 }
 
+// TestRunCollapsedWithStats checks the stats CollapsedForCtx reports
+// without telemetry: they cover every executed iteration and show the
+// §V static scheme's one costly recovery per thread.
 func TestRunCollapsedWithStats(t *testing.T) {
 	r := correlationResult()
 	params := map[string]int64{"N": 60}
 	threads := 12
 	var n atomic.Int64
-	cs, err := RunCollapsedWithStats(r, params, threads, Schedule{Kind: Static}, func(tid int, idx []int64) {
+	cs, err := CollapsedForCtx(nil, r, params, threads, Schedule{Kind: Static}, nil, func(tid int, idx []int64) {
 		n.Add(1)
 	})
 	if err != nil {
@@ -210,12 +220,74 @@ func TestRunCollapsedWithStats(t *testing.T) {
 	if n.Load() != cs.Total {
 		t.Errorf("executed %d, total %d", n.Load(), cs.Total)
 	}
-	// §V static scheme: one costly recovery per thread.
 	if cs.Stats.RootEvals > int64(threads) {
 		t.Errorf("RootEvals = %d, want <= %d (once per thread)", cs.Stats.RootEvals, threads)
 	}
 	if cs.Stats.RootEvals == 0 {
 		t.Error("no root evaluations recorded")
+	}
+}
+
+// TestCollapsedNoPerChunkAlloc is the allocation guard of the
+// telemetry-off collapsed executors: with threads=1 and dynamic,1 (one
+// chunk per iteration) the allocations of a call must not grow with the
+// chunk count — the chunk loop allocates nothing.
+func TestCollapsedNoPerChunkAlloc(t *testing.T) {
+	r := correlationResult()
+	sched := Schedule{Kind: Dynamic, Chunk: 1}
+	for _, tc := range []struct {
+		name string
+		run  func(params map[string]int64) error
+	}{
+		{"CollapsedFor", func(p map[string]int64) error {
+			return CollapsedFor(r, p, 1, sched, func(int, []int64) {})
+		}},
+		{"CollapsedForCtx", func(p map[string]int64) error {
+			_, err := CollapsedForCtx(nil, r, p, 1, sched, nil, func(int, []int64) {})
+			return err
+		}},
+		{"CollapsedForRanges", func(p map[string]int64) error {
+			_, err := CollapsedForRanges(nil, r, p, 1, sched, nil, func(int, int64, []int64, int64, int64) {})
+			return err
+		}},
+	} {
+		allocs := func(n int64) float64 {
+			p := map[string]int64{"N": n}
+			return testing.AllocsPerRun(10, func() {
+				if err := tc.run(p); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		small, large := allocs(50), allocs(200)
+		if large > small {
+			t.Errorf("%s allocates per chunk: %v allocs at 1225 chunks, %v at 19900", tc.name, small, large)
+		}
+	}
+}
+
+// TestSerialChunksMatchTeamPlan checks the serial fast path of
+// ParallelForChunks emits exactly the chunks ParallelForChunksCtx plans
+// at threads=1, for every schedule kind.
+func TestSerialChunksMatchTeamPlan(t *testing.T) {
+	for _, kind := range []Kind{Static, StaticChunk, Dynamic, Guided, ScheduleAuto} {
+		for _, chunk := range []int64{0, 1, 7} {
+			sched := Schedule{Kind: kind, Chunk: chunk}
+			var serial, team [][2]int64
+			ParallelForChunks(1, 3, 200, sched, func(_ int, clo, chi int64) {
+				serial = append(serial, [2]int64{clo, chi})
+			})
+			err := ParallelForChunksCtx(nil, 1, 3, 200, sched, func(_ int, clo, chi int64) error {
+				team = append(team, [2]int64{clo, chi})
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(serial, team) {
+				t.Errorf("%v chunk %d: ParallelForChunks %v, ParallelForChunksCtx %v", kind, chunk, serial, team)
+			}
+		}
 	}
 }
 

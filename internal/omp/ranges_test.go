@@ -83,7 +83,7 @@ func TestCollapsedForRangesDifferential(t *testing.T) {
 					diffMultiset(t, label+" per-iteration", truth, perIter)
 
 					ranged := make(map[string]int)
-					st, err := CollapsedForRangesStats(res, tc.params, threads, sched, nil,
+					st, err := CollapsedForRanges(nil, res, tc.params, threads, sched, nil,
 						func(tid int, pc int64, prefix []int64, lo, hi int64) {
 							mu.Lock()
 							for i := lo; i < hi; i++ {
@@ -135,7 +135,7 @@ func TestCollapsedForRangesTelemetry(t *testing.T) {
 	}
 	params := map[string]int64{"N": 12}
 	tel := telemetry.New()
-	st, err := CollapsedForRangesStats(res, params, 3, Schedule{Kind: StaticChunk, Chunk: 4}, tel,
+	st, err := CollapsedForRanges(nil, res, params, 3, Schedule{Kind: StaticChunk, Chunk: 4}, tel,
 		func(int, int64, []int64, int64, int64) {})
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +161,8 @@ func TestCollapsedForRangesCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err = CollapsedForRangesCtx(ctx, res, map[string]int64{"N": 50}, 2,
-		Schedule{Kind: Dynamic, Chunk: 10}, func(int, int64, []int64, int64, int64) {})
+	_, err = CollapsedForRanges(ctx, res, map[string]int64{"N": 50}, 2,
+		Schedule{Kind: Dynamic, Chunk: 10}, nil, func(int, int64, []int64, int64, int64) {})
 	if !errors.Is(err, faults.ErrCanceled) {
 		t.Fatalf("got %v, want canceled", err)
 	}

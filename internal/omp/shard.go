@@ -15,12 +15,12 @@ import (
 // trivial bodies, large enough that the §V recovery amortizes.
 const DefaultShardChunk = 4096
 
-// ShardForCtx executes the collapsed ranks [pcLo, pcHi] (inclusive) on
-// the worker-private bound b — the shard-level execution hook the dist
-// coordinator's executors run on. The shard is processed in internal
-// chunks of `chunk` iterations (DefaultShardChunk when <= 0), each chunk
-// driven by the §V engine (one costly recovery per chunk, lexicographic
-// advance within), with three guarantees:
+// ShardForCtxFrom executes the collapsed ranks [pcLo, pcHi] (inclusive)
+// on the worker-private bound b — the shard-level execution hook the
+// dist coordinator's executors run on. The shard is processed in
+// internal chunks of `chunk` iterations (DefaultShardChunk when <= 0),
+// each chunk driven by the §V engine (one costly recovery per chunk,
+// lexicographic advance within), with three guarantees:
 //
 //   - ctx is checked at every chunk boundary, so a canceled context —
 //     including a lease the coordinator revoked with
@@ -33,25 +33,21 @@ const DefaultShardChunk = 4096
 //     returned as a *faults.PanicError: an executor crash mid-shard
 //     costs the attempt, never the process.
 //
+// When start is non-nil it must be the exact iteration tuple of rank
+// pcLo (typically produced by a coordinator batch-recovering all
+// planned shard starts with unrank.Bound.RecoverBatch), and the first
+// internal chunk skips its §V recovery entirely — the shard begins at
+// pure incrementation cost. start is read-only.
+//
 // An active fault-injection plan is consulted once per shard
-// (faults.InjectShard) and once per chunk (faults.InjectChunk), so chaos
+// (faults.InjectShard, with the worker id) and once per chunk
+// (faults.InjectChunk, as tid 0 of the one-worker chunk plan), so chaos
 // harnesses can kill, stall or fail attempts at exact coordinates.
 //
 // done reports the iterations completed in full before the error (0 on
 // a clean run's completion means an empty shard). Effects of a failed
 // attempt are the caller's to discard: the §V engine has already invoked
 // body for the completed prefix.
-func ShardForCtx(ctx context.Context, worker int, b *unrank.Bound, pcLo, pcHi, chunk int64,
-	progress func(done int64), body func(pc int64, idx []int64)) (done int64, err error) {
-	return ShardForCtxFrom(ctx, worker, b, nil, pcLo, pcHi, chunk, progress, body)
-}
-
-// ShardForCtxFrom is ShardForCtx with a pre-recovered start tuple: when
-// start is non-nil it must be the exact iteration tuple of rank pcLo
-// (typically produced by a coordinator batch-recovering all planned
-// shard starts with unrank.Bound.RecoverBatch), and the first internal
-// chunk skips its §V recovery entirely — the shard begins at pure
-// incrementation cost. A nil start is ShardForCtx. start is read-only.
 func ShardForCtxFrom(ctx context.Context, worker int, b *unrank.Bound, start []int64,
 	pcLo, pcHi, chunk int64,
 	progress func(done int64), body func(pc int64, idx []int64)) (done int64, err error) {
@@ -61,6 +57,10 @@ func ShardForCtxFrom(ctx context.Context, worker int, b *unrank.Bound, start []i
 	if chunk <= 0 {
 		chunk = DefaultShardChunk
 	}
+	end, err := pcEnd(pcHi)
+	if err != nil {
+		return 0, err
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("omp: shard executor %d: %w", worker, faults.Recovered(r))
@@ -69,36 +69,24 @@ func ShardForCtxFrom(ctx context.Context, worker int, b *unrank.Bound, start []i
 	if err := faults.InjectShard(worker, pcLo, pcHi); err != nil {
 		return 0, fmt.Errorf("omp: injected fault at shard [%d,%d]: %w", pcLo, pcHi, err)
 	}
-	for clo := pcLo; ; {
-		if ctx != nil {
-			select {
-			case <-ctx.Done():
-				return done, canceled(ctx)
-			default:
+	// The internal chunks are a one-worker static,chunk plan on the team
+	// runtime, which checks ctx, consults the fault plan and captures
+	// panics at every chunk boundary.
+	err = ParallelForChunksCtx(ctx, 1, pcLo, end, Schedule{Kind: StaticChunk, Chunk: chunk},
+		func(_ int, clo, chi int64) error {
+			var err error
+			if clo == pcLo && start != nil {
+				err = core.ForRangeFrom(b, clo, chi-1, start, body)
+			} else {
+				err = core.ForRange(b, clo, chi-1, body)
 			}
-		}
-		chi := clo + chunk - 1
-		if chi > pcHi || chi < clo { // clo+chunk overflow saturates at pcHi
-			chi = pcHi
-		}
-		if err := faults.InjectChunk(worker, clo, chi+1); err != nil {
-			return done, fmt.Errorf("omp: injected fault at chunk [%d,%d]: %w", clo, chi, err)
-		}
-		if clo == pcLo && start != nil {
-			err = core.ForRangeFrom(b, clo, chi, start, body)
-		} else {
-			err = core.ForRange(b, clo, chi, body)
-		}
-		if err != nil {
-			return done, err
-		}
-		done += chi - clo + 1
-		if progress != nil {
-			progress(done)
-		}
-		if chi == pcHi {
-			return done, nil
-		}
-		clo = chi + 1
-	}
+			if err == nil {
+				done += chi - clo
+				if progress != nil {
+					progress(done)
+				}
+			}
+			return err
+		})
+	return done, err
 }

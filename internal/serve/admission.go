@@ -15,7 +15,9 @@ const jitterFrac = 0.25
 // tokenBucket is the admission controller: a classic token bucket with
 // ratePerSec refill and burst capacity, plus a Retry-After estimator
 // derived from the live refill state. now and rnd are injectable for the
-// header-math unit tests; production uses time.Now and a seeded PRNG.
+// header-math unit tests; production uses time.Now and math/rand's
+// process-wide source, which (unlike a private rand.Rand) is safe for
+// the concurrent handlers that draw jitter outside the bucket lock.
 type tokenBucket struct {
 	mu     sync.Mutex
 	rate   float64 // tokens per second
@@ -32,13 +34,12 @@ func newTokenBucket(rate, burst float64) *tokenBucket {
 	if burst < 1 {
 		burst = 1
 	}
-	src := rand.New(rand.NewSource(time.Now().UnixNano()))
 	b := &tokenBucket{
 		rate:   rate,
 		burst:  burst,
 		tokens: burst,
 		now:    time.Now,
-		rnd:    src.Float64,
+		rnd:    rand.Float64,
 	}
 	b.last = b.now()
 	return b

@@ -251,7 +251,7 @@ func (s *Server) handleExecute(ctx context.Context, req *Request) (any, error) {
 			}
 		case err == nil:
 			out.Collapsed = true
-			err = omp.CollapsedForCtx(ctx, res, req.Params, threads, sched, body)
+			_, err = omp.CollapsedForCtx(ctx, res, req.Params, threads, sched, nil, body)
 		case faults.Collapsible(err):
 			// The nest is outside the technique: downgrade to plain
 			// worksharing rather than failing the request.

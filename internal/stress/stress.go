@@ -321,7 +321,7 @@ func runParallel(res *core.Result, params map[string]int64, threads int,
 	sched omp.Schedule) ([][]int64, omp.CollapsedStats, error) {
 	var mu sync.Mutex
 	var got [][]int64
-	cs, err := omp.RunCollapsedWithStats(res, params, threads, sched, func(tid int, idx []int64) {
+	cs, err := omp.CollapsedForCtx(nil, res, params, threads, sched, nil, func(tid int, idx []int64) {
 		cp := append([]int64(nil), idx...)
 		mu.Lock()
 		got = append(got, cp)
@@ -364,7 +364,7 @@ func runParallelRanges(res *core.Result, params map[string]int64, threads int,
 	sched omp.Schedule) ([][]int64, core.RangeStats, error) {
 	var mu sync.Mutex
 	var got [][]int64
-	rs, err := omp.CollapsedForRangesStats(res, params, threads, sched, nil,
+	rs, err := omp.CollapsedForRanges(nil, res, params, threads, sched, nil,
 		func(tid int, pc int64, prefix []int64, lo, hi int64) {
 			mu.Lock()
 			for i := lo; i < hi; i++ {

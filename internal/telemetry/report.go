@@ -165,7 +165,6 @@ type ThreadLoad struct {
 	Iterations int64
 	Busy       time.Duration // total time inside chunk bodies
 	Recovery   time.Duration // time spent in closed-form/binary-search recovery
-	Increment  time.Duration // time spent in lexicographic incrementation
 }
 
 // ImbalanceReport summarises how evenly work was spread over a thread
@@ -188,11 +187,10 @@ type ImbalanceReport struct {
 	// IterCV and IterImbalance are the same statistics over per-thread
 	// iteration counts — deterministic for static schedules, which is
 	// what the integration tests assert on.
-	IterCV         float64
-	IterImbalance  float64
-	TotalIter      int64
-	TotalRecovery  time.Duration
-	TotalIncrement time.Duration
+	IterCV        float64
+	IterImbalance float64
+	TotalIter     int64
+	TotalRecovery time.Duration
 }
 
 // NewImbalance computes the report statistics from per-thread loads.
@@ -214,7 +212,6 @@ func NewImbalance(loads []ThreadLoad) ImbalanceReport {
 		iterSum += float64(l.Iterations)
 		rep.TotalIter += l.Iterations
 		rep.TotalRecovery += l.Recovery
-		rep.TotalIncrement += l.Increment
 	}
 	busyMean := busySum / float64(n)
 	iterMean := iterSum / float64(n)
@@ -239,8 +236,7 @@ func NewImbalance(loads []ThreadLoad) ImbalanceReport {
 // Imbalance computes an ImbalanceReport from the trace's events of the
 // given category (normally "chunk"), assuming `threads` team members
 // (threads that recorded no event count as idle rows). Event args named
-// "iters", "recovery_ns" and "increment_ns" feed the respective
-// columns.
+// "iters" and "recovery_ns" feed the respective columns.
 func (t *Trace) Imbalance(cat string, threads int) ImbalanceReport {
 	loads := map[int]*ThreadLoad{}
 	for tid := 0; tid < threads; tid++ {
@@ -263,8 +259,6 @@ func (t *Trace) Imbalance(cat string, threads int) ImbalanceReport {
 				l.Iterations += a.Value
 			case "recovery_ns":
 				l.Recovery += time.Duration(a.Value)
-			case "increment_ns":
-				l.Increment += time.Duration(a.Value)
 			}
 		}
 	}
@@ -285,11 +279,11 @@ func (t *Trace) Imbalance(cat string, threads int) ImbalanceReport {
 // discussion.
 func (r ImbalanceReport) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%6s %8s %12s %12s %12s %12s\n",
-		"thread", "chunks", "iterations", "busy", "recovery", "increment")
+	fmt.Fprintf(&b, "%6s %8s %12s %12s %12s\n",
+		"thread", "chunks", "iterations", "busy", "recovery")
 	for _, l := range r.Threads {
-		fmt.Fprintf(&b, "%6d %8d %12d %12s %12s %12s\n",
-			l.TID, l.Chunks, l.Iterations, fmtDur(l.Busy), fmtDur(l.Recovery), fmtDur(l.Increment))
+		fmt.Fprintf(&b, "%6d %8d %12d %12s %12s\n",
+			l.TID, l.Chunks, l.Iterations, fmtDur(l.Busy), fmtDur(l.Recovery))
 	}
 	fmt.Fprintf(&b, "iterations: total %d, max/mean %.4f, cv %.4f\n",
 		r.TotalIter, r.IterImbalance, r.IterCV)

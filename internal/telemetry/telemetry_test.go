@@ -203,7 +203,7 @@ func TestTraceImbalance(t *testing.T) {
 	tr.Add(Event{Name: "static", Cat: "chunk", TID: 0, Dur: 1 * time.Millisecond,
 		Args: []Arg{{Name: "iters", Value: 50}}})
 	tr.Add(Event{Name: "static", Cat: "chunk", TID: 1, Dur: 3 * time.Millisecond,
-		Args: []Arg{{Name: "iters", Value: 150}, {Name: "increment_ns", Value: 700}}})
+		Args: []Arg{{Name: "iters", Value: 150}}})
 	tr.Add(Event{Name: "other", Cat: "compile", TID: 0, Dur: time.Second}) // ignored
 	rep := tr.Imbalance("chunk", 3)
 	if len(rep.Threads) != 3 {
@@ -212,9 +212,6 @@ func TestTraceImbalance(t *testing.T) {
 	if rep.Threads[0].Chunks != 2 || rep.Threads[0].Iterations != 150 ||
 		rep.Threads[0].Recovery != 500 {
 		t.Errorf("thread 0: %+v", rep.Threads[0])
-	}
-	if rep.Threads[1].Increment != 700 {
-		t.Errorf("thread 1 increment = %v", rep.Threads[1].Increment)
 	}
 	if rep.Threads[2].Chunks != 0 {
 		t.Errorf("thread 2 should be idle: %+v", rep.Threads[2])

@@ -115,7 +115,7 @@ func NewTelemetry() *Telemetry { return telemetry.New() }
 
 // CollapsedStats is the per-run runtime record of an instrumented
 // collapsed execution: team-wide recovery counters plus the per-thread
-// breakdown (chunks, iterations, busy/recovery/increment time).
+// breakdown (chunks, iterations, busy and recovery time).
 type CollapsedStats = omp.CollapsedStats
 
 // ThreadStats is one thread's row of CollapsedStats.PerThread.
@@ -264,11 +264,7 @@ func CollapseAt(n *Nest, from, c int, opts ...Option) (*Result, error) {
 // worker).
 func CollapsedFor(res *Result, params map[string]int64, threads int, sched Schedule,
 	body func(tid int, idx []int64), opts ...Option) error {
-	cfg := buildConfig(opts)
-	if cfg.tel == nil {
-		return omp.CollapsedFor(res, params, threads, sched, body)
-	}
-	_, err := omp.CollapsedForTelemetry(res, params, threads, sched, cfg.tel, body)
+	_, err := omp.CollapsedForCtx(nil, res, params, threads, sched, buildConfig(opts).tel, body)
 	return err
 }
 
@@ -279,11 +275,7 @@ func CollapsedFor(res *Result, params map[string]int64, threads int, sched Sched
 // error carrying a *PanicError with the worker's stack.
 func CollapsedForCtx(ctx context.Context, res *Result, params map[string]int64, threads int,
 	sched Schedule, body func(tid int, idx []int64), opts ...Option) error {
-	cfg := buildConfig(opts)
-	if cfg.tel == nil {
-		return omp.CollapsedForCtx(ctx, res, params, threads, sched, body)
-	}
-	_, err := omp.CollapsedForTelemetryCtx(ctx, res, params, threads, sched, cfg.tel, body)
+	_, err := omp.CollapsedForCtx(ctx, res, params, threads, sched, buildConfig(opts).tel, body)
 	return err
 }
 
@@ -392,13 +384,20 @@ func CollapsedForTuned(ctx context.Context, tuner *Tuner, res *Result, params ma
 }
 
 // CollapsedForStats is CollapsedFor returning the per-thread runtime
-// breakdown (chunks, iterations, recovery vs increment time, unrank
+// breakdown (chunks, iterations, busy and recovery time, unrank
 // counters); pass WithTelemetry to additionally record the chunk
 // timeline as trace events.
 func CollapsedForStats(res *Result, params map[string]int64, threads int, sched Schedule,
 	body func(tid int, idx []int64), opts ...Option) (CollapsedStats, error) {
-	cfg := buildConfig(opts)
-	return omp.CollapsedForTelemetry(res, params, threads, sched, cfg.tel, body)
+	tel := buildConfig(opts).tel
+	if tel == nil {
+		// Busy and recovery times come from the driver's chunk timing,
+		// which runs only with a registry: a private flight-only one
+		// keeps no timeline.
+		tel = telemetry.New()
+		tel.EnableFlight(1, false)
+	}
+	return omp.CollapsedForCtx(nil, res, params, threads, sched, tel, body)
 }
 
 // RangeStats is the range-batched engine's event record: flat innermost
@@ -417,11 +416,7 @@ type RangeStats = core.RangeStats
 // ("omp.range_batches", "omp.range_carries", "omp.iterations").
 func CollapsedForRanges(res *Result, params map[string]int64, threads int, sched Schedule,
 	body func(tid int, pc int64, prefix []int64, lo, hi int64), opts ...Option) error {
-	cfg := buildConfig(opts)
-	if cfg.tel == nil {
-		return omp.CollapsedForRanges(res, params, threads, sched, body)
-	}
-	_, err := omp.CollapsedForRangesStats(res, params, threads, sched, cfg.tel, body)
+	_, err := omp.CollapsedForRanges(nil, res, params, threads, sched, buildConfig(opts).tel, body)
 	return err
 }
 
@@ -429,7 +424,8 @@ func CollapsedForRanges(res *Result, params map[string]int64, threads int, sched
 // cancellation checked at chunk boundaries (never inside a run).
 func CollapsedForRangesCtx(ctx context.Context, res *Result, params map[string]int64,
 	threads int, sched Schedule, body func(tid int, pc int64, prefix []int64, lo, hi int64)) error {
-	return omp.CollapsedForRangesCtx(ctx, res, params, threads, sched, body)
+	_, err := omp.CollapsedForRanges(ctx, res, params, threads, sched, nil, body)
+	return err
 }
 
 // CollapsedForSIMD executes the collapsed space with the §VI.A batch
